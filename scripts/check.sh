@@ -62,22 +62,33 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'PY' || fail=1
 import sys
 
 sys.path.insert(0, "src")
-from repro.core import ClusterConfig, simulate
+import numpy as np
+
+from repro.core import ClusterConfig, JobProfile, TraceJob, simulate
 from repro.experiments.performance import make_performance_trace
 from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import FIFOScheduler
 
-trace = make_performance_trace(20, mean_interarrival=50.0, seed=7)
-digests = {}
-for engine in ("object", "columnar"):
-    recorder = DigestRecorder()
-    simulate(trace, FIFOScheduler(), ClusterConfig(16, 16),
-             engine=engine, record_tasks=False, sanitizer=recorder)
-    digests[engine] = (recorder.hexdigest(), recorder.digest.count)
-assert digests["object"] == digests["columnar"], (
-    f"engine paths diverged: {digests}")
-print(f"object and columnar engines bit-identical "
-      f"({digests['object'][1]} events, digest {digests['object'][0]})")
+# The second input is the minimal zero-duration case: one job, one 0 s
+# map, no reduces, on a 1x1 cluster.
+zero_map = JobProfile("zero", 1, 0, np.array([0.0]), np.empty(0), np.empty(0),
+                      np.empty(0))
+inputs = {
+    "performance trace": (make_performance_trace(20, mean_interarrival=50.0, seed=7),
+                          ClusterConfig(16, 16)),
+    "zero-duration map": ([TraceJob(zero_map, 0.0)], ClusterConfig(1, 1)),
+}
+for label, (trace, cluster) in inputs.items():
+    digests = {}
+    for engine in ("object", "columnar"):
+        recorder = DigestRecorder()
+        simulate(trace, FIFOScheduler(), cluster,
+                 engine=engine, record_tasks=False, sanitizer=recorder)
+        digests[engine] = (recorder.hexdigest(), recorder.digest.count)
+    assert digests["object"] == digests["columnar"], (
+        f"{label}: engine paths diverged: {digests}")
+    print(f"{label}: object and columnar engines bit-identical "
+          f"({digests['object'][1]} events, digest {digests['object'][0]})")
 PY
 
 echo

@@ -53,7 +53,6 @@ __all__ = [
     "TaintKind",
     "ENGINE_OWNED_JOB_ATTRS",
     "RAISE_EXEMPT",
-    "build_callgraph",
     "module_name_for_path",
     "rng_sink_name",
 ]
@@ -369,13 +368,8 @@ class CallGraph:
     rules query :meth:`callees_at` and :meth:`witness` afterwards.
     """
 
-    def __init__(self, config: LintConfig, *, strict: bool = False) -> None:
+    def __init__(self, config: LintConfig) -> None:
         self.config = config
-        #: Fail-closed effect inference (see :mod:`repro.analysis.effects`):
-        #: unresolvable calls and dynamic-execution builtins contribute
-        #: the ``unresolved-call`` atom instead of nothing.  Used by the
-        #: inline-certification path, never by lint.
-        self.strict = strict
         self._modules: dict[str, _ModuleIdx] = {}
         self._suppressions: dict[str, dict[int, set[str]]] = {}
         self._whitelisted: dict[str, bool] = {}
@@ -700,15 +694,3 @@ def _attr_dotted(node: ast.Attribute, aliases: dict[str, str]) -> Optional[str]:
     root = aliases.get(cur.id, cur.id)
     parts.append(root)
     return ".".join(reversed(parts))
-
-
-def build_callgraph(
-    config: LintConfig,
-    modules: Iterable[tuple[str, ast.Module, str]],
-) -> CallGraph:
-    """Build + finalize a graph from ``(path, tree, source)`` triples."""
-    graph = CallGraph(config)
-    for path, tree, source in modules:
-        graph.add_module(path, tree, source)
-    graph.finalize()
-    return graph

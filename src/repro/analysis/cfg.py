@@ -118,13 +118,6 @@ class CFG:
     EXIT = 1
     RAISE_EXIT = 2
 
-    def node_for(self, stmt: ast.AST) -> Optional[CFGNode]:
-        """The CFG node whose governing AST node is ``stmt`` (tests)."""
-        for node in self.nodes:
-            if node.node is stmt:
-                return node
-        return None
-
     def successors(self, index: int) -> list[tuple[int, bool]]:
         """All outgoing edges of ``index`` as ``(target, is_exceptional)``."""
         node = self.nodes[index]

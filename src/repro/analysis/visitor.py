@@ -260,10 +260,6 @@ class FileContext:
     def current_class(self) -> Optional[ClassInfo]:
         return self.class_stack[-1] if self.class_stack else None
 
-    @property
-    def current_function(self) -> Optional[FunctionInfo]:
-        return self.func_stack[-1] if self.func_stack else None
-
     def in_scheduler_class(self) -> bool:
         return any(c.is_scheduler for c in self.class_stack)
 

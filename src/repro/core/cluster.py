@@ -32,15 +32,6 @@ class ClusterConfig:
         if self.reduce_slots < 0:
             raise ValueError(f"reduce_slots must be >= 0, got {self.reduce_slots}")
 
-    @classmethod
-    def per_node(
-        cls, nodes: int, map_slots_per_node: int = 1, reduce_slots_per_node: int = 1
-    ) -> "ClusterConfig":
-        """Build an aggregate config from a node count and per-node slots."""
-        if nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {nodes}")
-        return cls(nodes * map_slots_per_node, nodes * reduce_slots_per_node)
-
     @property
     def total_slots(self) -> int:
         return self.map_slots + self.reduce_slots

@@ -68,21 +68,6 @@ class Event:
         if self.time < 0:
             raise ValueError(f"event time must be non-negative, got {self.time}")
 
-    def key(self) -> tuple[float, int, int, int]:
-        """Canonical comparable/hashable form ``(time, type, job, task)``.
-
-        ``task_index`` maps to ``-1`` for job-level events — the same
-        encoding the engine's raw event tuples use.  The runtime
-        sanitizer's event digest (``repro.sanitize``) streams these keys
-        to detect replay divergence between two runs of one trace.
-        """
-        return (
-            self.time,
-            int(self.event_type),
-            self.job_id,
-            self.task_index if self.task_index is not None else -1,
-        )
-
 
 @dataclass(order=True, slots=True)
 class _HeapEntry:

@@ -362,18 +362,6 @@ class Job:
             return 1.0
         return self.maps_completed / self.num_maps
 
-    def deadline_exceeded_by(self) -> float:
-        """The job's term of the paper's utility metric.
-
-        Returns ``(T_J - D_J) / D_J`` when the completed job exceeded its
-        deadline and 0 otherwise (also 0 for jobs without deadlines).
-        """
-        if self.deadline is None or self.completion_time is None:
-            return 0.0
-        if self.completion_time <= self.deadline or self.deadline <= 0:
-            return 0.0
-        return (self.completion_time - self.deadline) / self.deadline
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Job(id={self.job_id}, name={self.name!r}, state={self.state.value}, "

@@ -44,8 +44,9 @@ packed-buffer update at the end of the run.
 
 What still falls back to the object engine is a short list: a pluggable
 shuffle model, workflow dependencies (``depends_on``), a
-state-inspecting sanitizer, and dynamic schedulers without the columnar
-contract (Capacity, Flex, DynamicPriority).  ``ColumnarEngine`` is
+state-inspecting sanitizer, dynamic schedulers without the columnar
+contract (Capacity, Flex, DynamicPriority), and zero-length tasks in a
+pass-mode run.  ``ColumnarEngine`` is
 always safe to use; :attr:`ColumnarEngine.last_path` reports which path
 a run took and :attr:`ColumnarEngine.last_kernel_mode` which kernel
 mode.
@@ -95,6 +96,34 @@ def _cycled(arr: np.ndarray, n: int) -> np.ndarray:
     if arr.size == n:
         return arr
     return np.resize(arr, n)
+
+
+def _zero_length_task(trace: Sequence[TraceJob]) -> bool:
+    """Can some map or reduce task start and end at the same instant?
+
+    Pass mode sorts its events by ``(time, type, push provenance)``,
+    which is the object engine's heap pop order only while every task
+    ends strictly after it starts.  A zero-length task breaks that: its
+    departure pops right after its own arrival, ahead of lower-typed
+    events of the same instant that were already queued.  A duration is
+    zero-length when it is 0 or too small to advance the clock: not
+    above the float spacing at a horizon no run can pass (the latest
+    submission plus every task run back to back).
+    """
+    if not trace:
+        return False
+    profiles = [tj.profile for tj in trace]
+    tasks = np.concatenate(
+        [p.map_durations for p in profiles] + [p.reduce_durations for p in profiles]
+    )
+    shuffles = np.concatenate(
+        [p.first_shuffle_durations for p in profiles]
+        + [p.typical_shuffle_durations for p in profiles]
+    )
+    longest = max(tasks.max(), shuffles.max(initial=0.0))
+    n_tasks = sum(p.num_maps + p.num_reduces for p in profiles)
+    horizon = max(tj.submit_time for tj in trace) + 2.0 * n_tasks * longest
+    return bool(tasks.min() <= np.spacing(horizon))
 
 
 class _KJob:
@@ -263,6 +292,13 @@ class ColumnarEngine:
             return True
         return getattr(scheduler, "preemptive", None) is False
 
+    def _pass_mode(self) -> bool:
+        """Static priority and no live preemption: the kernel's pass mode."""
+        scheduler = self.scheduler
+        return scheduler.static_priority and not (
+            self.preemption and not self._preemption_inert(scheduler)
+        )
+
     def _fallback_reason(self, trace: Sequence[TraceJob]) -> Optional[str]:
         """Why this run needs the object engine, or None for the kernel.
 
@@ -274,7 +310,8 @@ class ColumnarEngine:
         per-event state to check invariants against, so it forces the
         fallback (the observe-only :class:`~repro.sanitize.digest.
         DigestRecorder` declares ``inspects_state = False`` and stays on
-        the kernel).
+        the kernel).  A zero-length task leaves pass mode only; replay
+        mode pops a real heap and keeps it.
         """
         if self.shuffle_model is not None:
             return "pluggable shuffle model"
@@ -291,6 +328,8 @@ class ColumnarEngine:
             return "state-inspecting sanitizer"
         if any(tj.depends_on is not None for tj in trace):
             return "workflow dependencies (depends_on)"
+        if self._pass_mode() and _zero_length_task(trace):
+            return "zero_duration_task"
         return None
 
     def run(self, trace: Sequence[TraceJob] | TraceColumns) -> SimulationResult:
@@ -319,15 +358,12 @@ class ColumnarEngine:
             return result
         self.last_path = "kernel"
         self.fallback_reason = None
-        scheduler = self.scheduler
-        if not scheduler.static_priority or (
-            self.preemption and not self._preemption_inert(scheduler)
-        ):
-            self.last_kernel_mode = "replay"
-            result = self._run_replay(trace)
-        else:
+        if self._pass_mode():
             self.last_kernel_mode = "passes"
             result = self._run_kernel(trace)
+        else:
+            self.last_kernel_mode = "replay"
+            result = self._run_replay(trace)
         result.engine_path = "kernel"
         result.fallback_reason = None
         return result

@@ -154,14 +154,6 @@ class KLTableResult:
         out.append(row)
         return out
 
-    def max_same_app(self) -> float:
-        return max(
-            mx for phases in self.same_app.values() for (_, _, mx) in phases.values()
-        )
-
-    def min_cross_app(self) -> float:
-        return min(mn for (mn, _, _) in self.cross_app.values())
-
     def __str__(self) -> str:
         return format_table(
             self.rows(), title="Table I: symmetric KL divergence of task-duration distributions"

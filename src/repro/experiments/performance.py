@@ -73,9 +73,6 @@ class PerformanceResult:
             for p in self.points
         ]
 
-    def max_speedup(self) -> float:
-        return max(p.speedup for p in self.points)
-
     def peak_events_per_second(self) -> float:
         return max(p.simmr_events_per_second for p in self.points)
 

@@ -147,17 +147,6 @@ class JobHistoryWriter:
             f'ERROR="java.io.IOException: task failed"'
         )
 
-    def reduce_killed(
-        self, index: int, kill_time: float, hostname: str, attempt: int = 0
-    ) -> None:
-        """A killed reduce attempt."""
-        self._lines.append(
-            f'ReduceAttempt TASK_TYPE="REDUCE" '
-            f'TASKID="{_task_id(self.job_serial, "reduce", index)}" '
-            f'TASK_ATTEMPT_ID="{_attempt_id(self.job_serial, "reduce", index, attempt)}" '
-            f'TASK_STATUS="KILLED" FINISH_TIME="{ms(kill_time)}" HOSTNAME="{hostname}"'
-        )
-
     def reduce_finished(
         self,
         index: int,

@@ -101,31 +101,6 @@ def _resolve_zoo(name: str, kwargs: dict[str, Any]) -> Scheduler:
     return factory(**kwargs)
 
 
-def _resolve_inline_certified(name: str, kwargs: dict[str, Any]) -> Scheduler:
-    """Resolver for ``inline-certified``: scheduler source shipped as data.
-
-    ``kwargs["source"]`` is a self-contained scheduler module as text and
-    ``name`` the class to instantiate; the remaining kwargs become
-    constructor arguments.  The source is only executed after the effect
-    analyzer (:mod:`repro.analysis.certify`) proves the class
-    service-safe — an unsafe or unparsable submission raises
-    :class:`~repro.analysis.certify.CertificationError` (a ``ValueError``)
-    carrying the witness chain.  Verdicts are memoized by content digest,
-    so repeat builds of the same source skip re-analysis.
-    """
-    from ..analysis.certify import certified_inline_class
-
-    kwargs = dict(kwargs)
-    source = kwargs.pop("source", None)
-    if not isinstance(source, str) or not source.strip():
-        raise ValueError(
-            "inline-certified scheduler spec requires kwargs['source'] "
-            "(the scheduler module source text)"
-        )
-    cls = certified_inline_class(source, name)
-    return cls(**kwargs)
-
-
 def _resolve_policy(name: str, kwargs: dict[str, Any]) -> Scheduler:
     """Resolver for ``policy``: a decision-tree document shipped as data.
 
@@ -158,7 +133,6 @@ def _resolve_policy(name: str, kwargs: dict[str, Any]) -> Scheduler:
 _SPEC_KINDS: dict[str, Callable[[str, dict[str, Any]], Scheduler]] = {
     "registry": _resolve_registry,
     "zoo": _resolve_zoo,
-    "inline-certified": _resolve_inline_certified,
     "policy": _resolve_policy,
 }
 

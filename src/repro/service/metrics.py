@@ -17,7 +17,6 @@ from __future__ import annotations
 import threading
 from bisect import insort
 from collections import deque
-from typing import Optional
 
 __all__ = ["ServiceMetrics", "PROMETHEUS_CONTENT_TYPE"]
 
@@ -67,12 +66,6 @@ class ServiceMetrics:
             self._latency_sum += seconds
 
     # -- reading -----------------------------------------------------------
-
-    def request_count(self, status: Optional[str] = None) -> int:
-        with self._lock:
-            if status is not None:
-                return self._requests.get(status, 0)
-            return sum(self._requests.values())
 
     def latency_quantiles(self, *qs: float) -> list[float]:
         """Quantiles over the recent-latency reservoir."""

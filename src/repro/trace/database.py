@@ -129,13 +129,6 @@ class TraceDatabase:
         ).fetchall()
         return [r[0] for r in rows]
 
-    def _profile_id(self, application: str, execution: int) -> Optional[int]:
-        row = self._conn.execute(
-            "SELECT id FROM profiles WHERE application = ? AND execution = ?",
-            (application, execution),
-        ).fetchone()
-        return None if row is None else row[0]
-
     # -- traces --------------------------------------------------------------
 
     def save_trace(self, name: str, trace: Sequence[TraceJob]) -> None:

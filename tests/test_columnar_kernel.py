@@ -418,6 +418,14 @@ class TestColumnarDynamicIdentity:
         assert engine.last_kernel_mode == "passes"
 
 
+def _zero_map_trace():
+    """One job with a single 0 s map and no reduces."""
+    profile = JobProfile(
+        "zero", 1, 0, np.array([0.0]), np.empty(0), np.empty(0), np.empty(0)
+    )
+    return [TraceJob(profile, 0.0)]
+
+
 class TestFallbackEnvelope:
     def test_preemption_digest_identical(self):
         """Inert preemption (FIFO) stays in pass mode; digests still match
@@ -458,6 +466,10 @@ class TestFallbackEnvelope:
         engine = ColumnarEngine(ClusterConfig(8, 4), FIFOScheduler())
         engine.run(dep_trace)
         assert engine.fallback_reason == "workflow dependencies (depends_on)"
+        # So is a zero-length task, which leaves pass mode only.
+        engine = ColumnarEngine(ClusterConfig(1, 1), FIFOScheduler())
+        engine.run(_zero_map_trace())
+        assert engine.fallback_reason == "zero_duration_task"
         # And nothing else falls back: preemption + a preemptive scheduler
         # + Fair all stay on the kernel now.
         from repro.schedulers import FairScheduler
@@ -471,6 +483,19 @@ class TestFallbackEnvelope:
             engine.run(make_zoo_trace(n=6))
             assert engine.last_path == "kernel", scheduler.name
             assert engine.fallback_reason is None
+
+    def test_zero_duration_map_is_bit_identical(self):
+        """The minimal zero-duration case: pass mode used to emit the
+        job's departure before its arrival at t=0."""
+        trace = _zero_map_trace()
+        assert_identical(trace, FIFOScheduler, ClusterConfig(1, 1))
+        result = simulate(
+            trace, FIFOScheduler(), ClusterConfig(1, 1), record_events=True
+        )
+        assert [e.event_type.name for e in result.event_log] == [
+            "JOB_ARRIVAL", "MAP_TASK_ARRIVAL", "MAP_TASK_DEPARTURE",
+            "ALL_MAPS_FINISHED", "JOB_DEPARTURE",
+        ]
 
     def test_state_inspecting_sanitizer_falls_back(self):
         engine = ColumnarEngine(

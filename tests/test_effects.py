@@ -35,9 +35,7 @@ from repro.analysis.callgraph import CallGraph, module_name_for_path
 from repro.analysis.certify import (
     CertificationError,
     certificate_for_class,
-    certify_inline,
     certify_target,
-    certified_inline_class,
     failure_message,
     resolve_target,
     sign_certificate,
@@ -423,252 +421,6 @@ class TestSignature:
     def test_signature_is_deterministic(self):
         doc = {"a": 1, "b": [2, 3]}
         assert sign_certificate(doc) == sign_certificate(dict(doc))
-
-
-_INLINE_OK = """\
-from repro.schedulers.base import Scheduler
-
-
-class TinyFifo(Scheduler):
-    name = "TinyFifo"
-
-    def _key(self, job):
-        return (job.submit_time, job.job_id)
-
-    def choose_next_map_task(self, job_queue):
-        return min(job_queue, key=self._key, default=None)
-
-    def choose_next_reduce_task(self, job_queue):
-        return min(job_queue, key=self._key, default=None)
-"""
-
-_INLINE_BAD = """\
-import time
-
-
-class WallclockScheduler:
-    name = "Wallclock"
-
-    def choose_next_map_task(self, job_queue):
-        time.time()
-        return job_queue[0] if job_queue else None
-
-    def choose_next_reduce_task(self, job_queue):
-        return job_queue[0] if job_queue else None
-"""
-
-
-class TestInlineCertification:
-    def test_clean_inline_source_certifies_and_materializes(self):
-        doc = certify_inline(_INLINE_OK, "TinyFifo")
-        assert doc["certified"]
-        assert doc["target"] == "inline:TinyFifo"
-        assert verify_certificate(doc)
-        cls = certified_inline_class(_INLINE_OK, "TinyFifo")
-        assert cls.__name__ == "TinyFifo"
-        # Fresh namespace per materialization: distinct class objects.
-        assert certified_inline_class(_INLINE_OK, "TinyFifo") is not cls
-
-    def test_effectful_inline_source_is_refused(self):
-        doc = certify_inline(_INLINE_BAD, "WallclockScheduler")
-        assert not doc["service_safe"]
-        assert doc["witness"]["atom"] == NONDET
-        with pytest.raises(CertificationError, match="not service-safe"):
-            certified_inline_class(_INLINE_BAD, "WallclockScheduler")
-
-    def test_inline_verdict_is_memoized(self):
-        assert certify_inline(_INLINE_OK, "TinyFifo") is certify_inline(
-            _INLINE_OK, "TinyFifo"
-        )
-
-    def test_syntax_error_is_a_certification_error(self):
-        with pytest.raises(CertificationError, match="cannot parse"):
-            certify_inline("def broken(:\n", "X")
-
-    def test_missing_class_is_a_certification_error(self):
-        with pytest.raises(CertificationError, match="not found"):
-            certify_inline("def lonely():\n    return 1\n", "Ghost")
-
-
-class TestStrictInlineCertification:
-    """The fail-closed rules that make the inline verdict exec-safe.
-
-    Inline certification gates ``exec`` of untrusted network input, so
-    (unlike lint) anything the analyzer cannot resolve to a known-pure
-    target must fail, and the module's import-time code — which runs
-    before any predicate applies — must be effect-free.
-    """
-
-    def _rejected(self, source: str, cls: str = "C") -> str:
-        doc = certify_inline(textwrap.dedent(source), cls)
-        assert not doc["service_safe"]
-        assert doc["witness"] is not None
-        return doc["witness"]["atom"]
-
-    def test_top_level_effectful_statement_is_refused(self):
-        with pytest.raises(CertificationError, match="effectful code at import"):
-            certify_inline(
-                'import math\nprint("boo")\n\n'
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_non_whitelisted_import_is_refused(self):
-        for stmt in ("import os", "from subprocess import run",
-                     "import socket"):
-            with pytest.raises(CertificationError, match="whitelist"):
-                certify_inline(
-                    f"{stmt}\n\nclass C:\n"
-                    "    def choose_next_map_task(self, q):\n"
-                    "        return None\n",
-                    "C",
-                )
-
-    def test_function_local_import_is_refused(self):
-        # Imports hidden inside method bodies execute too.
-        with pytest.raises(CertificationError, match="whitelist"):
-            certify_inline(
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        import os\n        return None\n",
-                "C",
-            )
-
-    def test_relative_import_is_refused(self):
-        with pytest.raises(CertificationError, match="relative"):
-            certify_inline(
-                "from . import helpers\n\nclass C:\n"
-                "    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_dunder_import_laundering_is_unresolved(self):
-        atom = self._rejected(
-            """
-            class C:
-                def choose_next_map_task(self, q):
-                    __import__('os').system('id')
-                    return None
-            """
-        )
-        assert atom == "unresolved-call"
-
-    def test_dynamic_builtins_are_unresolved(self):
-        for snippet in ("eval('1')", "f = getattr", "exec('pass')"):
-            atom = self._rejected(
-                f"""
-                class C:
-                    def choose_next_map_task(self, q):
-                        {snippet}
-                        return None
-                """
-            )
-            assert atom == "unresolved-call"
-
-    def test_dunder_introspection_is_unresolved(self):
-        atom = self._rejected(
-            """
-            class C:
-                def choose_next_map_task(self, q):
-                    leak = ().__class__.__bases__[0].__subclasses__()
-                    return None
-            """
-        )
-        assert atom == "unresolved-call"
-
-    def test_call_outside_pure_module_whitelist_is_unresolved(self):
-        atom = self._rejected(
-            """
-            import time
-
-            class C:
-                def choose_next_map_task(self, q):
-                    time.sleep(1)
-                    return None
-            """
-        )
-        assert atom == "unresolved-call"
-
-    def test_effectful_decorator_application_is_refused(self):
-        with pytest.raises(CertificationError, match="effectful code at import"):
-            certify_inline(
-                "@print\ndef noisy():\n    return 1\n\n"
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_import_time_call_into_effectful_blob_function_is_refused(self):
-        with pytest.raises(CertificationError, match="reaches io"):
-            certify_inline(
-                "def boot():\n    print('x')\nboot()\n\n"
-                "class C:\n    def choose_next_map_task(self, q):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_effectful_signature_annotation_is_refused(self):
-        # Annotations evaluate at def time (no __future__ import in
-        # the exec'd namespace unless the source supplies one).
-        with pytest.raises(CertificationError, match="effectful code at import"):
-            certify_inline(
-                "class C:\n"
-                "    def choose_next_map_task(self, q: print('x')):\n"
-                "        return None\n",
-                "C",
-            )
-
-    def test_future_annotations_import_is_allowed(self):
-        doc = certify_inline(
-            "from __future__ import annotations\n\nclass C:\n"
-            "    def choose_next_map_task(self, q) -> 'Job':\n"
-            "        return None\n",
-            "C",
-        )
-        assert doc["service_safe"]
-
-    def test_oversized_source_is_refused(self):
-        from repro.analysis.certify import MAX_INLINE_SOURCE
-
-        bloated = "x = 1\n" * (MAX_INLINE_SOURCE // 6 + 1)
-        with pytest.raises(CertificationError, match="certification limit"):
-            certify_inline(bloated, "C")
-
-    def test_rich_but_clean_scheduler_still_certifies(self):
-        source = textwrap.dedent(
-            """
-            import heapq
-            from dataclasses import dataclass, field
-            from repro.schedulers.base import Scheduler
-
-
-            @dataclass
-            class _Entry:
-                key: tuple = field(default=())
-
-
-            class HeapFifo(Scheduler):
-                name = "HeapFifo"
-
-                def __init__(self):
-                    super().__init__()
-                    self._heap = []
-
-                def _key(self, job):
-                    return (job.submit_time, job.job_id)
-
-                def choose_next_map_task(self, job_queue):
-                    ordered = sorted(job_queue, key=lambda j: self._key(j))
-                    return ordered[0] if ordered else None
-
-                def choose_next_reduce_task(self, job_queue):
-                    return min(job_queue, key=self._key, default=None)
-            """
-        )
-        doc = certify_inline(source, "HeapFifo")
-        assert doc["service_safe"], failure_message(doc)
-        assert "unresolved-call" not in doc["summary"]
 
 
 # --------------------------------------------------------------------- #

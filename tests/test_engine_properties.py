@@ -13,6 +13,7 @@ import sys
 
 from repro.core import ClusterConfig, JobProfile, TraceJob
 from repro.core import simulate as _simulate
+from repro.sanitize.digest import DigestRecorder
 from repro.schedulers import FIFOScheduler, MaxEDFScheduler, MinEDFScheduler
 
 simulate = _simulate
@@ -33,9 +34,15 @@ def _both_engines(engine_kind, monkeypatch):
 
 durations = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
 
+#: Degenerate durations on purpose: zero-length tasks and integer ties
+#: at the same instant, mixed with the ordinary continuous draws.
+tied_durations = st.one_of(
+    st.just(0.0), st.integers(min_value=0, max_value=4).map(float), durations
+)
+
 
 @st.composite
-def profiles(draw, max_maps=12, max_reduces=8):
+def profiles(draw, max_maps=12, max_reduces=8, durations=durations):
     num_maps = draw(st.integers(min_value=0, max_value=max_maps))
     min_reduces = 1 if num_maps == 0 else 0
     num_reduces = draw(st.integers(min_value=min_reduces, max_value=max_reduces))
@@ -67,13 +74,13 @@ def profiles(draw, max_maps=12, max_reduces=8):
 
 
 @st.composite
-def traces(draw, max_jobs=6):
+def traces(draw, max_jobs=6, durations=durations):
     n = draw(st.integers(min_value=1, max_value=max_jobs))
     jobs = []
     t = 0.0
     for _ in range(n):
         t += draw(st.floats(min_value=0.0, max_value=50.0))
-        profile = draw(profiles())
+        profile = draw(profiles(durations=durations))
         deadline_gap = draw(st.one_of(st.none(), st.floats(min_value=1.0, max_value=500.0)))
         jobs.append(
             TraceJob(profile, t, deadline=None if deadline_gap is None else t + deadline_gap)
@@ -214,3 +221,24 @@ class TestEngineInvariants:
         small = simulate([TraceJob(profile, 0.0)], FIFOScheduler(), ClusterConfig(2, 2))
         big = simulate([TraceJob(profile, 0.0)], FIFOScheduler(), ClusterConfig(8, 8))
         assert big.makespan <= small.makespan + 1e-9
+
+
+def _event_digest(trace, scheduler, cluster, engine):
+    recorder = DigestRecorder()
+    _simulate(trace, scheduler, cluster, engine=engine, sanitizer=recorder)
+    return recorder.hexdigest()
+
+
+class TestEngineDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trace=traces(durations=tied_durations),
+        cluster=clusters(),
+        scheduler=st.sampled_from([FIFOScheduler, MaxEDFScheduler]),
+    )
+    def test_object_and_columnar_digests_agree(self, trace, cluster, scheduler):
+        """Both engines emit the same event stream, zero-length and
+        same-instant tasks included."""
+        assert _event_digest(trace, scheduler(), cluster, "object") == (
+            _event_digest(trace, scheduler(), cluster, "columnar")
+        )
