@@ -1,7 +1,7 @@
 """SimMR core: the discrete-event simulator engine and its data model."""
 
 from .cluster import ClusterConfig
-from .columns import TraceColumns, columns_from_trace, trace_from_columns
+from .columns import TraceColumns
 from .engine import SimulatorEngine, simulate
 from .kernel import ColumnarEngine
 from .events import Event, EventQueue, EventType
@@ -23,9 +23,7 @@ __all__ = [
     "SimulatorEngine",
     "ColumnarEngine",
     "TraceColumns",
-    "columns_from_trace",
     "simulate",
-    "trace_from_columns",
     "Event",
     "EventQueue",
     "EventType",

@@ -20,14 +20,20 @@ the same segment share one physical copy of the durations.
 
 Schedulers, the engine and the results layer are unchanged: a view-built
 ``TraceJob`` is indistinguishable from a loaded one (same types, same
-bit-exact float64 durations, same
-:func:`~repro.sanitize.digest.trace_digest`).
+bit-exact float64 durations).
+
+:meth:`TraceColumns.digest` is the trace's one content identity: every
+format (JSON, ``.simmr`` bytes or mapped file, sqlite) reaches it by
+way of these columns, and
+:func:`~repro.sanitize.digest.trace_digest` is a thin alias for it.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
+from hashlib import blake2b
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -46,6 +52,11 @@ PHASES = ("map", "first_shuffle", "typical_shuffle", "reduce")
 
 #: ``depends_on`` column value meaning "no dependency".
 _NO_DEP = -1
+
+#: Per-job digest record: submit time, stored deadline (NaN = none),
+#: depends_on, map count, reduce count, name length in bytes.
+_DIGEST_JOB = struct.Struct("<ddqqqQ")
+_DIGEST_LEN = struct.Struct("<Q")
 
 
 def _phase_arrays(profile: JobProfile) -> tuple[np.ndarray, ...]:
@@ -179,33 +190,12 @@ class TraceColumns:
         """float64 slots in the shared duration buffer."""
         return memoryview(self.data).nbytes // 8
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate footprint of the columnar storage (bytes)."""
-        return (
-            memoryview(self.data).nbytes
-            + sum(len(n.encode()) for n in self.names)
-            + self.submit_times.itemsize * len(self.submit_times)
-            + self.deadlines.itemsize * len(self.deadlines)
-            + self.depends_on.itemsize * len(self.depends_on)
-            + self.num_maps.itemsize * len(self.num_maps)
-            + self.num_reduces.itemsize * len(self.num_reduces)
-            + self.spans.itemsize * len(self.spans)
-        )
-
     # -- view reconstruction ----------------------------------------------
 
     def _phase_view(self, raw: memoryview, slot: int) -> np.ndarray:
         offset = self.spans[slot]
         count = self.spans[slot + 1]
         return np.frombuffer(raw, dtype="<f8", count=count, offset=offset * 8)
-
-    def job(self, index: int) -> TraceJob:
-        """Job ``index`` as a thin view over the shared buffer."""
-        if not 0 <= index < len(self.names):
-            raise IndexError(f"job index {index} out of range")
-        raw = memoryview(self.data).cast("B")
-        return self._job(index, raw)
 
     def _job(self, index: int, raw: memoryview) -> TraceJob:
         base = 8 * index
@@ -237,11 +227,40 @@ class TraceColumns:
         raw = memoryview(self.data).cast("B")
         return [self._job(i, raw) for i in range(len(self.names))]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TraceColumns(jobs={len(self)}, durations={self.total_durations}, "
-            f"~{self.nbytes} bytes)"
-        )
+    # -- identity ----------------------------------------------------------
+
+    def digest(self) -> str:
+        """The trace's content digest (BLAKE2b-16, hex).
+
+        Walks the jobs in order, hashing each job's metadata (submit
+        time, stored deadline, ``depends_on``, task counts, name length
+        and UTF-8 bytes) and then its four duration vectors (length,
+        then raw float64 bytes).  Span offsets and the dedup layout are
+        not hashed, so columns built by :meth:`from_trace` and columns
+        mapped from a binary file digest the same.  Every NaN deadline
+        hashes as one canonical NaN: it can only mean "no deadline".
+        """
+        h = blake2b(digest_size=16)
+        raw = memoryview(self.data).cast("B")
+        spans = self.spans
+        for i, name in enumerate(self.names):
+            encoded = name.encode("utf-8", "surrogatepass")
+            deadline = self.deadlines[i]
+            h.update(_DIGEST_JOB.pack(
+                self.submit_times[i],
+                math.nan if math.isnan(deadline) else deadline,
+                self.depends_on[i],
+                self.num_maps[i],
+                self.num_reduces[i],
+                len(encoded),
+            ))
+            h.update(encoded)
+            for slot in range(8 * i, 8 * i + 8, 2):
+                offset = 8 * spans[slot]
+                length = spans[slot + 1]
+                h.update(_DIGEST_LEN.pack(length))
+                h.update(raw[offset:offset + 8 * length])
+        return h.hexdigest()
 
 
 class SchedulerColumns:
@@ -343,15 +362,3 @@ class SchedulerColumns:
             )
         return self._avg_reduce
 
-
-def columns_from_trace(trace: Sequence[TraceJob]) -> TraceColumns:
-    """Module-level alias of :meth:`TraceColumns.from_trace`."""
-    return TraceColumns.from_trace(trace)
-
-
-def trace_from_columns(columns: TraceColumns) -> list[TraceJob]:
-    """Module-level alias of :meth:`TraceColumns.jobs`."""
-    return columns.jobs()
-
-
-__all__ += ["columns_from_trace", "trace_from_columns"]

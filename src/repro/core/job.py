@@ -213,6 +213,8 @@ class TraceJob:
     def __post_init__(self) -> None:
         if self.submit_time < 0 or not math.isfinite(self.submit_time):
             raise ValueError(f"submit_time must be finite and >= 0, got {self.submit_time}")
+        if self.deadline is not None and math.isnan(self.deadline):
+            raise ValueError("deadline must be a number or None, got NaN")
         if self.deadline is not None and self.deadline < self.submit_time:
             raise ValueError(
                 f"deadline {self.deadline} precedes submit_time {self.submit_time}"

@@ -6,7 +6,8 @@ re-runs incremental: each completed simulation is stored under a
 BLAKE2b key derived from everything that determines its outcome —
 
 * the **trace digest** (:func:`repro.sanitize.digest.trace_digest` —
-  canonical-JSON content hash of the replayed trace),
+  the columnar content hash of the replayed trace,
+  :meth:`repro.core.columns.TraceColumns.digest`),
 * the **scheduler identity** (registry kind, name, constructor kwargs),
 * the **engine configuration** (slot counts, slow-start, task
   recording, preemption) plus a cache schema / package version salt.

@@ -344,16 +344,13 @@ def _attach_shared_memory(name: str, nbytes: int) -> Sequence[TraceJob]:
             pass
     from ..trace.binfmt import unpack_columns
 
-    columns, _digest = unpack_columns(
-        memoryview(segment.buf)[:nbytes], owner=segment
-    )
-    return columns.jobs()
+    return unpack_columns(memoryview(segment.buf)[:nbytes], owner=segment).jobs()
 
 
 def _attach_file(path: str) -> Sequence[TraceJob]:
     from ..trace.binfmt import load_columns
 
-    columns, _digest = load_columns(path)
+    columns = load_columns(path)
     _WORKER_OWNERS.append(columns.owner)
     return columns.jobs()
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from ..core.columns import TraceColumns
 from ..core.events import EventType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,20 +59,14 @@ _PACK_DTYPE = [
 def trace_digest(trace: Sequence["TraceJob"]) -> str:
     """Content digest of a replayable trace (the cache-key input).
 
-    BLAKE2b over the canonical JSON of the trace's
-    :func:`~repro.trace.schema.trace_to_dict` document (sorted keys, no
-    whitespace), so two traces digest equally iff they would serialize
-    identically — the same identity the trace files and the trace
-    database use.  :mod:`repro.parallel` keys its content-addressed
-    result cache on this together with the scheduler and engine
-    configuration.
+    The trace's columnar identity, :meth:`TraceColumns.digest
+    <repro.core.columns.TraceColumns.digest>`: BLAKE2b over each job's
+    metadata and raw float64 durations, so a trace digests equally
+    whether it came from JSON, a ``.simmr`` file or the trace database.
+    :mod:`repro.parallel` keys its content-addressed result cache on
+    this together with the scheduler and engine configuration.
     """
-    import json
-
-    from ..trace.schema import trace_to_dict
-
-    payload = json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
-    return blake2b(payload.encode(), digest_size=16).hexdigest()
+    return TraceColumns.from_trace(trace).digest()
 
 
 def _describe_event(event: tuple[float, int, int, int]) -> str:

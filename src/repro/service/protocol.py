@@ -196,11 +196,11 @@ def _load_trace(
     doc: Mapping[str, Any],
     trace_root: Optional[Path],
     trace_cache: "Optional[TraceCache]" = None,
-) -> tuple[Sequence[TraceJob], Optional[str]]:
-    """The request's trace and, when already known, its content digest.
+) -> tuple[Sequence[TraceJob], str]:
+    """The request's trace and its content digest.
 
-    Inline traces always parse fresh (their digest is computed by the
-    caller).  Server-side ``trace_path`` traces go through the service's
+    Inline traces always parse and digest fresh.  Server-side
+    ``trace_path`` traces go through the service's
     :class:`~repro.service.tracecache.TraceCache` when one is
     configured, which also pins the digest — a cache hit costs one
     ``stat``, no I/O and no parsing.
@@ -213,9 +213,10 @@ def _load_trace(
     if inline is not None:
         _require(isinstance(inline, dict), "'trace' must be a trace document object")
         try:
-            return trace_from_dict(inline), None
+            trace = trace_from_dict(inline)
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"bad trace document: {exc}") from None
+        return trace, trace_digest(trace)
     _require(isinstance(by_path, str) and bool(by_path),
              "'trace_path' must be a non-empty string")
     _require(trace_root is not None,
@@ -259,7 +260,7 @@ def parse_request(
     _require(not unknown, f"unknown request key(s): {sorted(unknown)}; "
              f"known: {sorted(_TOP_LEVEL_KEYS)}")
 
-    trace, known_digest = _load_trace(doc, trace_root, trace_cache)
+    trace, digest = _load_trace(doc, trace_root, trace_cache)
     _require(len(trace) > 0, "trace has no jobs")
     scheduler = _parse_scheduler(doc.get("scheduler"))
     config = _parse_config(doc.get("config"))
@@ -273,7 +274,7 @@ def parse_request(
 
     return ReplayRequest(
         trace=tuple(trace),
-        digest=known_digest if known_digest is not None else trace_digest(trace),
+        digest=digest,
         scheduler=scheduler,
         cluster=ClusterConfig(config["map_slots"], config["reduce_slots"]),
         slowstart=config["slowstart"],

@@ -7,18 +7,16 @@ most recently used parsed traces in memory, keyed by resolved path and
 validated by the file's identity ``(mtime_ns, size)`` — so an entry is
 served only while the bytes on disk are provably the ones that were
 parsed, and editing or replacing a trace file invalidates its entry on
-the very next request.  Each entry also pins the trace's canonical
-content digest (:func:`~repro.sanitize.digest.trace_digest`), so a
-cache hit skips digest recomputation too and the executor/result-cache
-keys stay byte-identical to a cold load.
+the very next request.  Each entry also pins the trace's content digest
+(:meth:`TraceColumns.digest <repro.core.columns.TraceColumns.digest>`),
+so a cache hit skips digest recomputation too and the executor/result-
+cache keys stay byte-identical to a cold load.
 
 Binary traces (:mod:`repro.trace.binfmt`) get a second win on the cold
-path: their header already records the canonical digest, so loading one
-costs an ``mmap`` plus an O(jobs) header walk — no JSON parse and no
-canonical re-serialization.  Trace files live under the operator's
-configured trace root, so the header digest is trusted here; clients
-that must not trust a file can always recompute via
-:func:`~repro.sanitize.digest.trace_digest`.
+path: loading one costs an ``mmap`` plus an O(jobs) header walk, and
+its digest is hashed straight from the mapped columns — no JSON parse.
+The file carries no digest of its own, so a file edited in place is
+digested afresh on its next load.
 
 The cache is shared across the service's request threads; a plain lock
 guards the LRU order book-keeping.  Loads happen outside the lock, so a
@@ -120,10 +118,6 @@ class TraceCache:
 
     # -- maintenance / introspection ---------------------------------------
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> TraceCacheStats:
         with self._lock:
             return TraceCacheStats(
@@ -148,8 +142,8 @@ def _parse_trace_file(path: Path) -> tuple[tuple[TraceJob, ...], str]:
     from ..trace.binfmt import is_binary_trace_file, load_columns
 
     if is_binary_trace_file(path):
-        columns, digest = load_columns(path)
-        return tuple(columns.jobs()), digest
+        columns = load_columns(path)
+        return tuple(columns.jobs()), columns.digest()
     from ..sanitize.digest import trace_digest
     from ..trace.schema import load_trace
 

@@ -4,17 +4,17 @@ JSON traces (:mod:`repro.trace.schema`) are the human-facing format —
 inspectable, diffable, hand-editable.  They are also the slow path: a
 100k-duration trace costs a full JSON parse plus one Python float per
 duration on every load.  This module defines the binary twin: a
-versioned, little-endian, digest-stable container whose duration
-payload is raw float64 — so loading is ``mmap`` + an O(jobs) header
-walk, and the durations are *never* copied (the reconstructed
+versioned, little-endian container whose duration payload is raw
+float64 — so loading is ``mmap`` + an O(jobs) header walk, and the
+durations are *never* copied (the reconstructed
 :class:`~repro.core.job.JobProfile` arrays are views into the mapped
 file, via :class:`~repro.core.columns.TraceColumns`).
 
 Layout (all integers little-endian, fixed-width, ``struct``-packed)::
 
-    header   72 B   magic "SIMMRBIN", version u16, flags u16,
+    header   40 B   magic "SIMMRBIN", version u16, flags u16,
                     njobs u32, ndoubles u64, names_bytes u64,
-                    reserved u64, trace_digest 32 B (ascii hex)
+                    reserved u64
     jobs     120 B  per job: submit_time f64, deadline f64 (NaN=None),
                     depends_on i64 (-1=None), num_maps i64,
                     num_reduces i64, name (offset u64, length u64) into
@@ -24,17 +24,13 @@ Layout (all integers little-endian, fixed-width, ``struct``-packed)::
     data     ndoubles * 8 B of raw little-endian float64 durations,
              content-deduplicated, 8-byte aligned in the file
 
-**Digest stability.**  The header records the trace's canonical
-identity — :func:`repro.sanitize.digest.trace_digest`, the BLAKE2b of
-the canonical *JSON* document — so the same trace has the same digest
-in every format, and a binary load can key caches without
-re-serializing.  Packing is deterministic: the same trace always
-produces byte-identical files (dedup decisions depend only on content,
-in job order).  Consumers that must not trust a file's header (it could
-be hand-edited) pass ``verify=True`` to recompute the digest from the
-decoded jobs.  Downstream cache keys further salt this digest with the
-cache schema and package version (:func:`repro.parallel.cache.cache_key`),
-so a format change can never resurrect stale results.
+**Identity.**  The file stores no digest.  A trace's identity is
+:meth:`TraceColumns.digest <repro.core.columns.TraceColumns.digest>`,
+computed from the decoded columns, so a loaded file digests exactly
+like the same trace from JSON or the trace database, and a file edited
+in place gets a new digest rather than a stale one.  Packing is
+deterministic: the same trace always produces byte-identical files
+(dedup decisions depend only on content, in job order).
 
 Only ``struct``/``array``/``mmap`` from the stdlib are used here; the
 numpy views appear one layer up, in :mod:`repro.core.columns`.
@@ -57,7 +53,6 @@ __all__ = [
     "pack_trace",
     "pack_columns",
     "unpack_columns",
-    "packed_digest",
     "save_trace_bin",
     "load_columns",
     "load_trace_bin",
@@ -67,11 +62,11 @@ __all__ = [
 ]
 
 BINARY_MAGIC = b"SIMMRBIN"
-BINARY_VERSION = 1
+BINARY_VERSION = 2
 
-_HEADER = struct.Struct("<8sHHIQQQ32s")
+_HEADER = struct.Struct("<8sHHIQQQ")
 _JOB = struct.Struct("<ddqqq" + "Q" * 10)
-_HEADER_SIZE = _HEADER.size  # 72
+_HEADER_SIZE = _HEADER.size  # 40
 _JOB_SIZE = _JOB.size  # 120
 
 Buffer = Union[bytes, bytearray, memoryview]
@@ -85,15 +80,8 @@ def _pad8(n: int) -> int:
 # packing
 # --------------------------------------------------------------------------- #
 
-def pack_columns(columns: TraceColumns, digest: str) -> bytes:
-    """Serialize columnar storage into the binary container.
-
-    ``digest`` is the trace's canonical content digest (32 hex chars);
-    callers that start from job objects should use :func:`pack_trace`,
-    which computes it.
-    """
-    if len(digest) != 32:
-        raise ValueError(f"trace digest must be 32 hex chars, got {len(digest)}")
+def pack_columns(columns: TraceColumns) -> bytes:
+    """Serialize columnar storage into the binary container."""
     njobs = len(columns)
 
     names_blob = bytearray()
@@ -117,7 +105,6 @@ def pack_columns(columns: TraceColumns, digest: str) -> bytes:
         ndoubles,
         len(names_blob),
         0,  # reserved
-        digest.encode("ascii"),
     )
     for i in range(njobs):
         name_off, name_len = name_spans[columns.names[i]]
@@ -139,9 +126,7 @@ def pack_columns(columns: TraceColumns, digest: str) -> bytes:
 
 def pack_trace(trace: Sequence[TraceJob]) -> bytes:
     """Serialize a job-object trace into the binary container."""
-    from ..sanitize.digest import trace_digest
-
-    return pack_columns(TraceColumns.from_trace(trace), trace_digest(trace))
+    return pack_columns(TraceColumns.from_trace(trace))
 
 
 def save_trace_bin(trace: Sequence[TraceJob], path: "str | Path") -> int:
@@ -169,10 +154,10 @@ def is_binary_trace_file(path: "str | Path") -> bool:
         return False
 
 
-def _parse_header(view: memoryview) -> tuple[int, int, int, str]:
+def _parse_header(view: memoryview) -> tuple[int, int, int]:
     if view.nbytes < _HEADER_SIZE:
         raise ValueError("binary trace truncated: header incomplete")
-    magic, version, _flags, njobs, ndoubles, names_bytes, _reserved, digest = (
+    magic, version, _flags, njobs, ndoubles, names_bytes, _reserved = (
         _HEADER.unpack_from(view, 0)
     )
     if magic != BINARY_MAGIC:
@@ -181,38 +166,24 @@ def _parse_header(view: memoryview) -> tuple[int, int, int, str]:
         raise ValueError(
             f"unsupported binary trace version {version} (expected {BINARY_VERSION})"
         )
-    try:
-        digest_hex = digest.decode("ascii")
-        int(digest_hex, 16)
-    except (UnicodeDecodeError, ValueError):
-        raise ValueError("binary trace header carries a malformed digest") from None
     expected = _HEADER_SIZE + njobs * _JOB_SIZE + names_bytes + 8 * ndoubles
     if view.nbytes < expected:
         raise ValueError(
             f"binary trace truncated: {view.nbytes} bytes, header promises {expected}"
         )
-    return njobs, ndoubles, names_bytes, digest_hex
+    return njobs, ndoubles, names_bytes
 
 
-def packed_digest(data: Buffer) -> str:
-    """The canonical trace digest recorded in a packed trace's header."""
-    _, _, _, digest = _parse_header(memoryview(data).cast("B"))
-    return digest
-
-
-def unpack_columns(
-    data: Buffer, *, owner: object = None
-) -> tuple[TraceColumns, str]:
+def unpack_columns(data: Buffer, *, owner: object = None) -> TraceColumns:
     """Decode a packed trace into zero-copy columnar storage.
 
-    Returns ``(columns, digest)`` where ``columns.data`` is a
-    *memoryview into* ``data`` — no duration bytes are copied.  Pass
-    ``owner`` to pin the object that must stay alive for the buffer to
-    remain valid (an ``mmap``, a shared-memory segment); it is stored
-    on the returned columns.
+    ``columns.data`` is a *memoryview into* ``data`` — no duration
+    bytes are copied.  Pass ``owner`` to pin the object that must stay
+    alive for the buffer to remain valid (an ``mmap``, a shared-memory
+    segment); it is stored on the returned columns.
     """
     view = memoryview(data).cast("B")
-    njobs, ndoubles, names_bytes, digest = _parse_header(view)
+    njobs, ndoubles, names_bytes = _parse_header(view)
 
     names_off = _HEADER_SIZE + njobs * _JOB_SIZE
     data_off = names_off + names_bytes
@@ -240,7 +211,7 @@ def unpack_columns(
                 raise ValueError("binary trace corrupt: phase span exceeds data section")
             spans.append(offset)
             spans.append(length)
-    columns = TraceColumns(
+    return TraceColumns(
         names=tuple(names),
         submit_times=submit_times,
         deadlines=deadlines,
@@ -251,7 +222,6 @@ def unpack_columns(
         data=duration_view,
         owner=owner,
     )
-    return columns, digest
 
 
 class _MappedFile:
@@ -264,9 +234,7 @@ class _MappedFile:
             self.map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def load_columns(
-    path: "str | Path", *, use_mmap: bool = True
-) -> tuple[TraceColumns, str]:
+def load_columns(path: "str | Path", *, use_mmap: bool = True) -> TraceColumns:
     """Load a binary trace file into columnar storage.
 
     With ``use_mmap=True`` (the default) the file is memory-mapped
@@ -285,8 +253,7 @@ def load_columns(
 
 def load_trace_bin(path: "str | Path", *, use_mmap: bool = True) -> list[TraceJob]:
     """Load a binary trace file as job objects (thin views)."""
-    columns, _digest = load_columns(path, use_mmap=use_mmap)
-    return columns.jobs()
+    return load_columns(path, use_mmap=use_mmap).jobs()
 
 
 def load_trace_auto(path: "str | Path") -> list[TraceJob]:

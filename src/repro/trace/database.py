@@ -137,10 +137,18 @@ class TraceDatabase:
         Each job's profile is stored (or reused if an identical
         ``(application, execution)`` template is already present — the
         execution index is allocated by content match, so saving the same
-        trace twice does not duplicate profiles).
+        trace twice does not duplicate profiles).  The schema has no
+        ``depends_on`` column, so a workflow trace is refused rather than
+        stored without its dependencies.
         """
         if self.trace_names().count(name):
             raise ValueError(f"trace {name!r} already stored")
+        for pos, job in enumerate(trace):
+            if job.depends_on is not None:
+                raise ValueError(
+                    f"job {pos} has depends_on={job.depends_on}; the trace "
+                    "database cannot store workflow dependencies"
+                )
         rows = []
         for pos, job in enumerate(trace):
             payload = json.dumps(profile_to_dict(job.profile))

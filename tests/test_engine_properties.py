@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,13 @@ from hypothesis import given, settings, strategies as st
 import functools
 import sys
 
-from repro.core import ClusterConfig, JobProfile, TraceJob
+from repro.core import ClusterConfig, JobProfile, TraceColumns, TraceJob
 from repro.core import simulate as _simulate
-from repro.sanitize.digest import DigestRecorder
+from repro.sanitize.digest import DigestRecorder, trace_digest
 from repro.schedulers import FIFOScheduler, MaxEDFScheduler, MinEDFScheduler
+from repro.trace.binfmt import load_columns, pack_trace, save_trace_bin, unpack_columns
+from repro.trace.database import TraceDatabase
+from repro.trace.schema import trace_from_dict, trace_to_dict
 
 simulate = _simulate
 
@@ -242,3 +249,57 @@ class TestEngineDifferential:
         assert _event_digest(trace, scheduler(), cluster, "object") == (
             _event_digest(trace, scheduler(), cluster, "columnar")
         )
+
+
+def _one_ulp_sites(trace):
+    """Every float a trace's digest must cover, as ``(job, field, index)``."""
+    sites = []
+    for j, job in enumerate(trace):
+        sites.append((j, "submit_time", None))
+        if job.deadline is not None:
+            sites.append((j, "deadline", None))
+        for phase in ("map", "first_shuffle", "typical_shuffle", "reduce"):
+            field = f"{phase}_durations"
+            sites.extend((j, field, k) for k in range(getattr(job.profile, field).size))
+    return sites
+
+
+def _nudged(trace, site):
+    """``trace`` with the float at ``site`` moved up by one ulp."""
+    j, field, index = site
+    job = trace[j]
+    if index is None:
+        job = dataclasses.replace(job, **{field: float(np.nextafter(getattr(job, field), np.inf))})
+    else:
+        values = getattr(job.profile, field).copy()
+        values[index] = np.nextafter(values[index], np.inf)
+        job = dataclasses.replace(job, profile=dataclasses.replace(job.profile, **{field: values}))
+    return trace[:j] + [job] + trace[j + 1:]
+
+
+class TestTraceIdentity:
+    """One trace, one digest: every format reaches the same identity."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=traces(durations=tied_durations))
+    def test_digest_is_format_independent(self, trace):
+        digest = trace_digest(trace)
+        from_json = trace_from_dict(json.loads(json.dumps(trace_to_dict(trace))))
+        assert trace_digest(from_json) == digest
+        assert unpack_columns(pack_trace(trace)).digest() == digest
+        assert trace_digest(TraceColumns.from_trace(trace).jobs()) == digest
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.simmr"
+            save_trace_bin(trace, path)
+            mapped = load_columns(path, use_mmap=True)
+            assert mapped.digest() == digest
+            assert trace_digest(mapped.jobs()) == digest
+        with TraceDatabase() as db:
+            db.save_trace("t", trace)
+            assert trace_digest(db.load_trace("t")) == digest
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=traces(durations=tied_durations), data=st.data())
+    def test_one_ulp_changes_the_digest(self, trace, data):
+        site = data.draw(st.sampled_from(_one_ulp_sites(trace)))
+        assert trace_digest(_nudged(trace, site)) != trace_digest(trace)

@@ -189,6 +189,13 @@ class TestTraceJob:
         with pytest.raises(ValueError, match="precedes"):
             TraceJob(constant_profile, 10.0, deadline=5.0)
 
+    def test_nan_deadline_rejected(self, constant_profile):
+        # NaN compares False with everything, so the ordering check
+        # alone would let it through; the binary format and sqlite
+        # would then turn it into "no deadline".
+        with pytest.raises(ValueError, match="deadline"):
+            TraceJob(constant_profile, 10.0, deadline=float("nan"))
+
     def test_infinite_submit_rejected(self, constant_profile):
         with pytest.raises(ValueError, match="finite"):
             TraceJob(constant_profile, float("inf"))

@@ -9,6 +9,8 @@ and graceful drain with jobs still in flight.
 
 from __future__ import annotations
 
+import json
+import math
 import threading
 from pathlib import Path
 
@@ -154,6 +156,15 @@ class TestProtocol:
         save_trace(trace, tmp_path / "t.json")
         request = parse_request({"trace_path": "t.json"}, trace_root=tmp_path)
         assert len(request.trace) == len(trace)
+
+    def test_nan_deadline_is_400(self, trace):
+        doc = self.doc(trace)
+        doc["trace"]["jobs"][0]["deadline"] = math.nan
+        body = json.dumps(doc)
+        assert '"deadline": NaN' in body  # Python's json reads it back
+        with pytest.raises(ProtocolError, match="deadline") as excinfo:
+            parse_request(json.loads(body))
+        assert excinfo.value.status == 400
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ProtocolError, match="no jobs"):

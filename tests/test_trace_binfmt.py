@@ -12,12 +12,12 @@ and the error paths of the binary parser.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import TraceColumns, TraceJob
-from repro.core.columns import columns_from_trace, trace_from_columns
 from repro.parallel.executor import (
     TRANSPORTS,
     SchedulerSpec,
@@ -36,7 +36,6 @@ from repro.trace.binfmt import (
     load_trace_auto,
     load_trace_bin,
     pack_trace,
-    packed_digest,
     save_trace_bin,
     unpack_columns,
 )
@@ -91,12 +90,12 @@ def assert_same_trace(a, b):
 class TestColumns:
     def test_round_trip_preserves_digest_and_bits(self, rng):
         trace = make_trace(rng)
-        rebuilt = trace_from_columns(columns_from_trace(trace))
+        rebuilt = TraceColumns.from_trace(trace).jobs()
         assert_same_trace(trace, rebuilt)
 
     def test_views_share_one_buffer(self, rng):
         trace = make_trace(rng, dedup=True)
-        columns = columns_from_trace(trace)
+        columns = TraceColumns.from_trace(trace)
         jobs = columns.jobs()
         # Jobs 0 and 3 reuse the same profile: their views must alias
         # the same float64 span, not hold copies.
@@ -107,7 +106,7 @@ class TestColumns:
 
     def test_dedup_stores_identical_vectors_once(self, rng):
         trace = make_trace(rng, jobs=9, dedup=True)
-        deduped = columns_from_trace(trace)
+        deduped = TraceColumns.from_trace(trace)
         total = sum(
             getattr(j.profile, f"{p}_durations").size
             for j in trace
@@ -121,7 +120,7 @@ class TestColumns:
             TraceJob(profile, 0.0, deadline=None, depends_on=None),
             TraceJob(profile, 1.0, deadline=50.0, depends_on=0),
         ]
-        columns = columns_from_trace(trace)
+        columns = TraceColumns.from_trace(trace)
         assert math.isnan(columns.deadlines[0]) and columns.depends_on[0] == -1
         rebuilt = columns.jobs()
         assert rebuilt[0].deadline is None and rebuilt[0].depends_on is None
@@ -134,7 +133,7 @@ class TestColumns:
         trace = make_trace(rng, depends=False)
         direct = simulate(trace, make_scheduler("fifo"), cluster64)
         viewed = simulate(
-            trace_from_columns(columns_from_trace(trace)),
+            TraceColumns.from_trace(trace).jobs(),
             make_scheduler("fifo"),
             cluster64,
         )
@@ -142,7 +141,7 @@ class TestColumns:
         assert viewed.events_processed == direct.events_processed
 
     def test_column_length_mismatch_rejected(self, rng):
-        columns = columns_from_trace(make_trace(rng, jobs=2))
+        columns = TraceColumns.from_trace(make_trace(rng, jobs=2))
         with pytest.raises(ValueError, match="lengths disagree"):
             TraceColumns(
                 names=columns.names + ("extra",),
@@ -165,9 +164,8 @@ class TestBinaryFormat:
         trace = make_trace(rng)
         payload = pack_trace(trace)
         assert is_packed(payload)
-        assert packed_digest(payload) == trace_digest(trace)
-        columns, digest = unpack_columns(payload)
-        assert digest == trace_digest(trace)
+        columns = unpack_columns(payload)
+        assert columns.digest() == trace_digest(trace)
         assert_same_trace(trace, columns.jobs())
 
     def test_packing_is_deterministic(self, rng):
@@ -182,8 +180,7 @@ class TestBinaryFormat:
         assert is_binary_trace_file(path)
         for use_mmap in (True, False):
             assert_same_trace(trace, load_trace_bin(path, use_mmap=use_mmap))
-        columns, digest = load_columns(path)
-        assert digest == trace_digest(trace)
+        assert load_columns(path).digest() == trace_digest(trace)
 
     def test_load_trace_auto_sniffs_both_formats(self, rng, tmp_path):
         trace = make_trace(rng)
@@ -196,8 +193,8 @@ class TestBinaryFormat:
 
     def test_json_binary_columnar_sqlite_cycle(self, rng, tmp_path):
         # The full satellite tour: JSON -> binary -> columnar -> sqlite.
-        # The TraceDatabase leg does not persist depends_on, so run it
-        # on a dependency-free trace.
+        # The TraceDatabase refuses depends_on (it has no column for
+        # it), so run the tour on a dependency-free trace.
         trace = make_trace(rng, depends=False)
         digest = trace_digest(trace)
 
@@ -209,7 +206,7 @@ class TestBinaryFormat:
         from_bin = load_trace_bin(tmp_path / "t.simmr")
         assert trace_digest(from_bin) == digest
 
-        columns = columns_from_trace(from_bin)
+        columns = TraceColumns.from_trace(from_bin)
         from_columns = columns.jobs()
         assert trace_digest(from_columns) == digest
 
@@ -226,9 +223,11 @@ class TestBinaryFormat:
 
     def test_unknown_version_rejected(self, rng):
         payload = bytearray(pack_trace(make_trace(rng, jobs=2)))
-        payload[8:10] = (BINARY_VERSION + 1).to_bytes(2, "little")
-        with pytest.raises(ValueError, match="version"):
-            unpack_columns(bytes(payload))
+        # Version 1 is the old layout whose header carried a digest.
+        for version in (1, BINARY_VERSION + 1):
+            payload[8:10] = version.to_bytes(2, "little")
+            with pytest.raises(ValueError, match=f"unsupported binary trace version {version}"):
+                unpack_columns(bytes(payload))
 
     def test_truncation_rejected(self, rng):
         payload = pack_trace(make_trace(rng, jobs=2))
@@ -237,11 +236,26 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match="truncated"):
             unpack_columns(payload[:20])
 
-    def test_malformed_digest_rejected(self, rng):
-        payload = bytearray(pack_trace(make_trace(rng, jobs=2)))
-        payload[40:72] = b"z" * 32  # not hex
-        with pytest.raises(ValueError, match="digest"):
-            unpack_columns(bytes(payload))
+    def test_edited_duration_changes_digest(self, rng, tmp_path):
+        """A file edited in place is never served its old identity."""
+        trace = make_trace(rng, jobs=3)
+        path = tmp_path / "t.simmr"
+        save_trace_bin(trace, path)
+        cache = TraceCache(4)
+        _, cached_before = cache.load(path)
+        before = load_columns(path).digest()
+        assert before == cached_before == trace_digest(trace)
+
+        payload = bytearray(path.read_bytes())
+        payload[-8] ^= 0x01  # lowest mantissa byte of the last duration
+        path.write_bytes(bytes(payload))
+        os.utime(path, ns=(1, 1))  # a distinct mtime_ns for the cache
+
+        after = load_columns(path).digest()
+        _, cached_after = cache.load(path)
+        assert after != before
+        assert cached_after == after
+        assert trace_digest(load_trace_bin(path)) == after
 
     def test_is_binary_trace_file_on_json_and_missing(self, rng, tmp_path):
         save_trace(make_trace(rng, jobs=2), tmp_path / "t.json")

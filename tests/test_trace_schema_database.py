@@ -114,6 +114,16 @@ class TestTraceDatabase:
             with pytest.raises(ValueError, match="already stored"):
                 db.save_trace("t", [TraceJob(profile, 0.0)])
 
+    def test_depends_on_refused(self, rng):
+        # No column holds depends_on; storing the trace would silently
+        # turn a workflow into independent jobs.
+        profile = make_random_profile(rng)
+        trace = [TraceJob(profile, 0.0), TraceJob(profile, 1.0, depends_on=0)]
+        with TraceDatabase() as db:
+            with pytest.raises(ValueError, match="job 1 has depends_on"):
+                db.save_trace("t", trace)
+            assert db.trace_names() == []
+
     def test_delete_trace(self, rng):
         with TraceDatabase() as db:
             profile = make_random_profile(rng)
