@@ -17,6 +17,11 @@ Beyond the static headline, the report carries one row per kernel
   segmented-replay mode.
 * ``preemptive_fair`` — Fair with HFS-style preemption: live kills on
   the replay path.
+* ``static_fifo_records`` — the headline workload run the way
+  ``simulate()`` runs it by default, with task records on.  Its gate
+  is a ceiling, not a floor: records-on time over records-off time on
+  the same trace must stay at or below 1.5x (the columnar task records
+  of ``core/results.py``; before them the ratio was ~7x).
 * ``preemptive_edf`` — MaxEDF+P on a deadline-decorated trace.  This
   row's floor is deliberately below 3x: replay must pop a heap per
   event, and bare ``heappush``+``heappop`` of the event tuples alone
@@ -67,6 +72,10 @@ PATH_FLOORS = {
     "preemptive_fair": 3.0,
     "preemptive_edf": 1.1,
 }
+
+#: Records-on over records-off time on the headline trace: the most
+#: ``simulate()`` with defaults may cost over ``record_tasks=False``.
+RECORDS_CEILING = 1.5
 
 CLUSTER = ClusterConfig(64, 64)
 #: The dynamic/preemptive rows use a denser, smaller trace than the
@@ -205,6 +214,40 @@ def test_engine_event_throughput(benchmark):
     )
     assert eps > MIN_EVENTS_PER_SECOND
     assert speedup > MIN_SPEEDUP
+
+
+def test_records_on_overhead():
+    """``simulate()`` defaults (records on) vs ``record_tasks=False``."""
+    trace = make_performance_trace(500, mean_interarrival=100.0, seed=0)
+    best = {True: float("inf"), False: float("inf")}
+    for _ in range(5):
+        for record in (False, True):  # alternate, so drift hits both
+            engine = ColumnarEngine(CLUSTER, FIFOScheduler(), record_tasks=record)
+            start = time.perf_counter()
+            result = engine.run(trace)
+            best[record] = min(best[record], time.perf_counter() - start)
+            assert engine.last_path == "kernel", engine.fallback_reason
+            assert engine.last_kernel_mode == "passes"
+    # The last run had records on: one per task.
+    assert len(result.task_records) == sum(j.num_maps + j.num_reduces for j in result.jobs)
+    overhead = best[True] / best[False]
+    row = {
+        "scheduler": "FIFO",
+        "trace_jobs": len(trace),
+        "events_processed": result.events_processed,
+        "events_per_second": result.events_processed / best[True],
+        "records_off_events_per_second": result.events_processed / best[False],
+        "records_overhead": overhead,
+        "ceiling_overhead": RECORDS_CEILING,
+        "engine_path": "kernel",
+        "kernel_mode": "passes",
+    }
+    _merge_report({"paths": {"static_fifo_records": row}})
+    print(
+        f"\nrecords on: {row['events_per_second']:,.0f} events/s, "
+        f"{overhead:.2f}x the records-off time (ceiling {RECORDS_CEILING}x)"
+    )
+    assert overhead <= RECORDS_CEILING
 
 
 def test_widened_envelope_paths():

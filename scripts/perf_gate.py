@@ -33,7 +33,10 @@ machine-independent kernel-vs-object speedup floor (the row's
 ``floor_speedup``, set by the bench), and any path whose baseline ran
 on the kernel must still run on the kernel — a cell silently
 regressing to the object-loop fallback fails the gate even when its
-absolute numbers look plausible.
+absolute numbers look plausible.  The ``static_fifo_records`` row
+carries a ceiling instead (``ceiling_overhead``): ``simulate()`` with
+defaults, task records on, may take at most that many times the
+``record_tasks=False`` run on the same trace.
 
 Usage:
     python scripts/perf_gate.py            # run bench, compare, report
@@ -220,6 +223,22 @@ def main(argv: list[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 failed = True
+        if "ceiling_overhead" in base_row:
+            ceiling = float(base_row["ceiling_overhead"])
+            overhead = float(row.get("records_overhead", float("inf")))
+            print(
+                f"perf gate: path {name}: {overhead:.2f}x records-off time"
+                f" (ceiling {ceiling:.1f}x, {row.get('events_per_second', 0):,.0f}"
+                " events/s)"
+            )
+            if overhead > ceiling:
+                print(
+                    f"perf gate: FAIL — path {name!r} records-on overhead"
+                    f" {overhead:.2f}x exceeds its ceiling {ceiling:.1f}x",
+                    file=sys.stderr,
+                )
+                failed = True
+            continue
         floor = float(base_row.get("floor_speedup", 1.0))
         speedup = float(row.get("speedup", 0.0))
         print(

@@ -14,7 +14,7 @@ from .metrics import (
     stage_breakdown,
     utilization,
 )
-from .results import JobResult, SimulationResult
+from .results import JobResult, SimulationResult, TaskRecords
 from .shuffle import NetworkShuffleModel, ShuffleContext, ShuffleModel, TraceShuffleModel
 from .results_io import jobs_to_csv, load_result, result_from_dict, result_to_dict, save_result
 
@@ -32,6 +32,7 @@ __all__ = [
     "JobState",
     "PhaseStats",
     "TaskRecord",
+    "TaskRecords",
     "TraceJob",
     "JobResult",
     "SimulationResult",

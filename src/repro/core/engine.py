@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 from .cluster import ClusterConfig
 from .events import EventType
 from .job import Job, JobState, TaskRecord, TraceJob
-from .results import JobResult, SimulationResult
+from .results import JobResult, SimulationResult, TaskRecords
 from .shuffle import ShuffleContext, ShuffleModel
 from .walltime import elapsed_since, perf_seconds
 from ..schedulers.base import Scheduler
@@ -255,7 +255,7 @@ class SimulatorEngine:
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             jobs=[JobResult.from_job(j) for j in jobs],
-            task_records=self._records,
+            task_records=TaskRecords.from_records(self._records),
             makespan=makespan,
             events_processed=processed,
             wall_clock_seconds=wall,

@@ -66,7 +66,7 @@ from .cluster import ClusterConfig
 from .columns import SchedulerColumns, TraceColumns
 from .engine import SimulatorEngine
 from .job import Job, JobState, TaskRecord, TraceJob
-from .results import JobResult, SimulationResult
+from .results import JobResult, SimulationResult, TaskRecords
 from .walltime import elapsed_since, perf_seconds
 from ..schedulers.base import Scheduler
 
@@ -85,6 +85,12 @@ _JOB_DEP = 3
 _JOB_ARR = 4
 _MAP_ARR = 5
 _RED_ARR = 6
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each ``c`` in ``counts``, concatenated."""
+    total = int(counts.sum())
+    return np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _cycled(arr: np.ndarray, n: int) -> np.ndarray:
@@ -133,7 +139,7 @@ class _KJob:
         "job", "idx", "submit", "M", "R", "key", "cap_m", "cap_r",
         # map side
         "mdl", "md_np", "mstarts", "mseqs", "mseq_runs", "mdispatched",
-        "mcompleted", "finishes", "mseq_arr", "mse", "fm",
+        "mcompleted", "mstart_arr", "finishes", "mseq_arr", "mse", "fm",
         # reduce slow-start gate
         "gate_count", "gate_time", "gate_etype", "gate_tie",
         # reduce side
@@ -166,6 +172,7 @@ class _KJob:
         self.mseq_runs: list[tuple[int, int]] = []   # uncapped (first_seq, count)
         self.mdispatched = 0
         self.mcompleted = 0
+        self.mstart_arr: Optional[np.ndarray] = None
         self.finishes: Optional[np.ndarray] = None
         self.mseq_arr: Optional[np.ndarray] = None
         # Map-less jobs complete their map stage at submission.
@@ -907,7 +914,7 @@ class ColumnarEngine:
         return SimulationResult(
             scheduler_name=scheduler.name,
             jobs=[JobResult.from_job(j) for j in jobs],
-            task_records=records,
+            task_records=TaskRecords.from_records(records),
             makespan=makespan,
             events_processed=processed,
             wall_clock_seconds=wall,
@@ -1009,9 +1016,9 @@ class ColumnarEngine:
             2 + 2 * st.M + 2 * st.R + (1 if st.M else 0) for st in states
         )
 
-        records: list[TaskRecord] = []
-        if self.record_tasks:
-            records = self._build_records(states)
+        records = (
+            self._build_records(states) if self.record_tasks else TaskRecords.empty()
+        )
 
         event_log: list = []
         san = self.sanitizer
@@ -1150,7 +1157,7 @@ class ColumnarEngine:
         for st in states:
             if st.M == 0 or not st.mdispatched:
                 continue
-            starts = np.asarray(st.mstarts)
+            starts = st.mstart_arr = np.asarray(st.mstarts)
             fin = starts + st.md_np[: st.mdispatched]
             st.finishes = fin
             seqs = st.mseq_array()
@@ -1378,52 +1385,53 @@ class ColumnarEngine:
         ends = np.where(fw, st.fe_np[:n], shuffle_end + rd)
         return starts, ends, shuffle_end, fw, filler
 
-    def _build_records(self, states: list[_KJob]) -> list[TaskRecord]:
-        """Task records in the object engine's global append order.
+    def _build_records(self, states: list[_KJob]) -> TaskRecords:
+        """Task-record columns in the object engine's global append order.
 
         The engine appends one record per ``*_TASK_ARRIVAL`` pop, so the
-        global order is ``(start, arrival-event type, dispatch seq)``.
+        global order is ``(start, arrival-event type, dispatch seq)``:
+        one ``np.lexsort`` over the concatenated per-job columns.
         """
-        keyed: list[tuple[float, int, int, TaskRecord]] = []
-        for st in states:
-            job = st.job
-            jid = st.idx
-            if st.mdispatched:
-                fins = st.finishes.tolist()
-                seqs = st.mseq_array().tolist()
-                for k, (start, end, seq) in enumerate(
-                    zip(st.mstarts, fins, seqs)
-                ):
-                    rec = TaskRecord(
-                        kind="map", job_id=jid, index=k, start=start, end=end
-                    )
-                    job.map_records.append(rec)
-                    keyed.append((start, _MAP_ARR, seq, rec))
-            if st.rdispatched:
-                starts, ends, shuffle_end, fw, _filler = self._reduce_columns(st)
-                seqs = st.rseq_array().tolist()
-                for i, (start, end, se, first, seq) in enumerate(
-                    zip(
-                        starts.tolist(),
-                        ends.tolist(),
-                        shuffle_end.tolist(),
-                        fw.tolist(),
-                        seqs,
-                    )
-                ):
-                    rec = TaskRecord(
-                        kind="reduce",
-                        job_id=jid,
-                        index=i,
-                        start=start,
-                        end=end,
-                        shuffle_end=se,
-                        first_wave=first,
-                    )
-                    job.reduce_records.append(rec)
-                    keyed.append((start, _RED_ARR, seq, rec))
-        keyed.sort(key=lambda t: (t[0], t[1], t[2]))
-        return [rec for _t, _e, _s, rec in keyed]
+        mapped = [st for st in states if st.mdispatched]
+        reduced = [st for st in states if st.rdispatched]
+        m_counts = np.array([st.mdispatched for st in mapped], dtype=np.int64)
+        r_counts = np.array([st.rdispatched for st in reduced], dtype=np.int64)
+        m_total = int(m_counts.sum())
+        r_total = int(r_counts.sum())
+        reduce_cols = [self._reduce_columns(st) for st in reduced]
+
+        def joined(parts: list, dtype: type) -> np.ndarray:
+            return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+        start = joined([st.mstart_arr for st in mapped] + [c[0] for c in reduce_cols], np.float64)
+        end = joined([st.finishes for st in mapped] + [c[1] for c in reduce_cols], np.float64)
+        shuffle_end = np.concatenate(
+            [np.full(m_total, np.nan), joined([c[2] for c in reduce_cols], np.float64)]
+        )
+        first_wave = np.concatenate(
+            [np.zeros(m_total, dtype=bool), joined([c[3] for c in reduce_cols], np.bool_)]
+        )
+        is_reduce = np.repeat([False, True], [m_total, r_total])
+        job_id = np.concatenate([
+            np.repeat([st.idx for st in mapped], m_counts),
+            np.repeat([st.idx for st in reduced], r_counts),
+        ]).astype(np.int64, copy=False)
+        task_index = np.concatenate([_ranks(m_counts), _ranks(r_counts)])
+        seq = joined(
+            [st.mseq_array() for st in mapped] + [st.rseq_array() for st in reduced],
+            np.int64,
+        )
+        order = np.lexsort((seq, is_reduce, start))
+        return TaskRecords(
+            job_id[order],
+            is_reduce[order],
+            task_index[order],
+            start[order],
+            end[order],
+            shuffle_end[order],
+            first_wave[order],
+            np.zeros(len(order), dtype=bool),
+        )
 
     def _emit_events(
         self, trace: Sequence[TraceJob], states: list[_KJob], processed: int

@@ -6,6 +6,14 @@ operators additionally reason about slot utilization, queueing delay and
 stage breakdowns when sizing clusters — the "what-if questions" SimMR is
 built to answer (Section VII).  This module computes those from the
 task-level records of a run.
+
+Every function here reads the columns of
+:class:`~repro.core.results.TaskRecords` (``start``, ``end``,
+``shuffle_end``, ``is_reduce``, ``job_id``) with numpy reductions and
+never builds :class:`~repro.core.job.TaskRecord` objects, so a metric
+over a 200k-task run costs milliseconds.  Sums run over the columns in
+record order, so two runs with equal records give bit-identical
+metrics whichever engine produced them.
 """
 
 from __future__ import annotations
@@ -35,11 +43,9 @@ def slot_seconds(result: SimulationResult, kind: Optional[str] = None) -> float:
     (including filler time waiting for the map stage) plus reduce phase —
     because the slot is held for all of it.
     """
-    return sum(
-        r.end - r.start
-        for r in result.task_records
-        if kind is None or r.kind == kind
-    )
+    records = result.task_records
+    busy = records.end - records.start
+    return float(busy[records.kind_mask(kind)].sum())
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,16 +113,15 @@ def stage_breakdown(result: SimulationResult, job_id: int) -> dict[str, float]:
     part of ``shuffle`` — that slot time is really spent, which is why
     MinEDF's minimal allocations matter.
     """
-    maps = result.task_records_for(job_id, "map")
-    reduces = result.task_records_for(job_id, "reduce")
-    if not maps and not reduces:
+    records = result.task_records_for(job_id)
+    if not records:
         raise KeyError(f"no task records for job {job_id}")
-    shuffle = sum(r.shuffle_end - r.start for r in reduces if r.shuffle_end is not None)
-    reduce_phase = sum(r.end - r.shuffle_end for r in reduces if r.shuffle_end is not None)
+    maps = ~records.is_reduce
+    shuffled = records.is_reduce & ~np.isnan(records.shuffle_end)
     return {
-        "map": sum(r.end - r.start for r in maps),
-        "shuffle": shuffle,
-        "reduce": reduce_phase,
+        "map": float((records.end - records.start)[maps].sum()),
+        "shuffle": float((records.shuffle_end - records.start)[shuffled].sum()),
+        "reduce": float((records.end - records.shuffle_end)[shuffled].sum()),
     }
 
 
@@ -135,16 +140,15 @@ def concurrency_series(
         raise ValueError(f"kind must be 'map' or 'reduce', got {kind!r}")
     if points < 2:
         raise ValueError("points must be >= 2")
-    records = [
-        r
-        for r in result.task_records
-        if r.kind == kind and (job_id is None or r.job_id == job_id)
-    ]
+    records = result.task_records
+    mask = records.kind_mask(kind)
+    if job_id is not None:
+        mask &= records.job_id == job_id
     times = np.linspace(0.0, max(result.makespan, 1e-9), points)
-    if not records:
+    if not mask.any():
         return times, np.zeros(points, dtype=np.int64)
-    starts = np.array([r.start for r in records])
-    ends = np.array([r.end for r in records])
+    starts = records.start[mask]
+    ends = records.end[mask]
     running = (
         (times[:, None] >= starts[None, :]) & (times[:, None] < ends[None, :])
     ).sum(axis=1)

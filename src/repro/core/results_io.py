@@ -16,8 +16,9 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .job import TaskRecord
-from .results import JobResult, SimulationResult
+import numpy as np
+
+from .results import JobResult, SimulationResult, TaskRecords
 
 __all__ = [
     "result_to_dict",
@@ -71,19 +72,7 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
             }
             for j in result.jobs
         ],
-        "task_records": [
-            {
-                "kind": r.kind,
-                "job_id": r.job_id,
-                "index": r.index,
-                "start": r.start,
-                "end": None if math.isinf(r.end) else r.end,
-                "shuffle_end": r.shuffle_end,
-                "first_wave": r.first_wave,
-                "killed": r.killed,
-            }
-            for r in result.task_records
-        ],
+        "task_records": _records_to_list(result.task_records),
     }
 
 
@@ -109,19 +98,7 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
         )
         for j in data["jobs"]
     ]
-    records = [
-        TaskRecord(
-            kind=r["kind"],
-            job_id=r["job_id"],
-            index=r["index"],
-            start=r["start"],
-            end=math.inf if r["end"] is None else r["end"],
-            shuffle_end=r["shuffle_end"],
-            first_wave=r["first_wave"],
-            killed=r.get("killed", False),
-        )
-        for r in data["task_records"]
-    ]
+    records = _records_from_list(data["task_records"])
     return SimulationResult(
         scheduler_name=data["scheduler"],
         jobs=jobs,
@@ -132,6 +109,54 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
         event_digest=data.get("event_digest"),
         engine_path=data.get("engine_path"),
         fallback_reason=data.get("fallback_reason"),
+    )
+
+
+def _records_to_list(records: TaskRecords) -> list[dict[str, Any]]:
+    """One JSON object per record: ``end`` is ``null`` for an attempt
+    that never finished, ``shuffle_end`` is ``null`` where it is unset."""
+    end = records.end.astype(object)
+    end[np.isinf(records.end)] = None
+    shuffle_end = records.shuffle_end.astype(object)
+    shuffle_end[np.isnan(records.shuffle_end)] = None
+    return [
+        {
+            "kind": kind,
+            "job_id": job_id,
+            "index": index,
+            "start": start,
+            "end": stop,
+            "shuffle_end": boundary,
+            "first_wave": first,
+            "killed": killed,
+        }
+        for kind, job_id, index, start, stop, boundary, first, killed in zip(
+            records.kinds(),
+            records.job_id.tolist(),
+            records.task_index.tolist(),
+            records.start.tolist(),
+            end.tolist(),
+            shuffle_end.tolist(),
+            records.first_wave.tolist(),
+            records.killed.tolist(),
+        )
+    ]
+
+
+def _records_from_list(rows: list[dict[str, Any]]) -> TaskRecords:
+    kinds = [r["kind"] for r in rows]
+    unknown = set(kinds) - {"map", "reduce"}
+    if unknown:
+        raise ValueError(f"unknown task record kind(s): {sorted(unknown)}")
+    return TaskRecords(
+        [r["job_id"] for r in rows],
+        [kind == "reduce" for kind in kinds],
+        [r["index"] for r in rows],
+        [r["start"] for r in rows],
+        [math.inf if r["end"] is None else r["end"] for r in rows],
+        [math.nan if r["shuffle_end"] is None else r["shuffle_end"] for r in rows],
+        [r["first_wave"] for r in rows],
+        [r.get("killed", False) for r in rows],
     )
 
 

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from ..core.cluster import ClusterConfig
 from ..core.job import Job, JobState, TraceJob
-from ..core.results import JobResult, SimulationResult
+from ..core.results import JobResult, SimulationResult, TaskRecords
 from ..core.walltime import elapsed_since, perf_seconds
 from ..schedulers.base import Scheduler
 
@@ -234,7 +234,7 @@ class MumakSimulator:
         return SimulationResult(
             scheduler_name=f"Mumak/{self.scheduler.name}",
             jobs=[JobResult.from_job(j) for j in jobs],
-            task_records=[],
+            task_records=TaskRecords.empty(),
             makespan=makespan,
             events_processed=events,
             wall_clock_seconds=wall,

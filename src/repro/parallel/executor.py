@@ -52,12 +52,13 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..core.cluster import ClusterConfig
+from ..core.columns import TraceColumns
 from ..core.engine import SimulatorEngine
 from ..core.kernel import ColumnarEngine
 from ..core.job import TraceJob
 from ..core.results import SimulationResult
 from ..core.results_io import result_from_dict, result_to_dict
-from ..sanitize.digest import DigestRecorder, trace_digest
+from ..sanitize.digest import DigestRecorder
 from ..schedulers import Scheduler, make_scheduler
 from .cache import ResultCache, cache_key, default_cache_path
 
@@ -432,19 +433,20 @@ def last_fanout_stats() -> Optional[FanoutStats]:
 class _PublishedTraces:
     """Parent-side shared storage for one pool's traces.
 
-    Packs each trace once (binary format), publishes it under the
-    requested transport, and tears the storage down in :meth:`close`
-    after the pool has exited.  Fallback order for ``"auto"``: shared
+    Packs each trace's already-built columns (binary format), publishes
+    them under the requested transport, and tears the storage down in
+    :meth:`close` after the pool has exited.  Fallback order for ``"auto"``: shared
     memory, then a temporary file (``mmap``-ed by workers).
     """
 
     def __init__(
         self,
         traces: Mapping[str, Sequence[TraceJob]],
+        columns: Mapping[str, TraceColumns],
         transport: str,
         workers: int,
     ) -> None:
-        from ..trace.binfmt import pack_trace
+        from ..trace.binfmt import pack_columns
 
         self.sources: dict[str, _TraceSource] = {}
         self._segments: list[Any] = []
@@ -458,7 +460,7 @@ class _PublishedTraces:
                     self.sources[trace_id] = ("pickle", jobs)
                     used.add("pickle")
                     continue
-                payload = pack_trace(trace)
+                payload = pack_columns(columns[trace_id])
                 payload_bytes += len(payload)
                 if transport in ("auto", "shared_memory"):
                     try:
@@ -614,7 +616,10 @@ def _simulate_many(
     transport: str = "auto",
 ) -> list[SimOutcome]:
     global _LAST_FANOUT
-    digests = {tid: trace_digest(trace) for tid, trace in traces.items()}
+    # One columnar build per trace serves both its digest and, for a
+    # pooled batch, the binary payload shipped to the workers.
+    columns = {tid: TraceColumns.from_trace(trace) for tid, trace in traces.items()}
+    digests = {tid: cols.digest() for tid, cols in columns.items()}
 
     total = len(tasks)
     done = 0
@@ -672,7 +677,7 @@ def _simulate_many(
         }
         ctx = multiprocessing.get_context()
         nproc = min(workers, len(parallel))
-        with _PublishedTraces(used_traces, transport, nproc) as published:
+        with _PublishedTraces(used_traces, columns, transport, nproc) as published:
             _LAST_FANOUT = published.stats
             with ctx.Pool(
                 nproc, initializer=_init_worker, initargs=(published.sources,)

@@ -17,6 +17,7 @@ import sys
 
 from repro.core import ClusterConfig, JobProfile, TraceColumns, TraceJob
 from repro.core import simulate as _simulate
+from repro.core.metrics import utilization
 from repro.sanitize.digest import DigestRecorder, trace_digest
 from repro.schedulers import FIFOScheduler, MaxEDFScheduler, MinEDFScheduler
 from repro.trace.binfmt import load_columns, pack_trace, save_trace_bin, unpack_columns
@@ -26,9 +27,9 @@ from repro.trace.schema import trace_from_dict, trace_to_dict
 simulate = _simulate
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture
 def _both_engines(engine_kind, monkeypatch):
-    """Run every property in this module on both execution paths.
+    """Run a test class on both execution paths.
 
     Function-scoped on purpose: one engine per test invocation, stable
     across all hypothesis examples of that invocation.
@@ -103,6 +104,7 @@ def clusters(draw):
     )
 
 
+@pytest.mark.usefixtures("_both_engines")
 class TestEngineInvariants:
     @settings(max_examples=60, deadline=None)
     @given(trace=traces(), cluster=clusters())
@@ -230,12 +232,14 @@ class TestEngineInvariants:
         assert big.makespan <= small.makespan + 1e-9
 
 
-def _event_digest(trace, scheduler, cluster, engine):
+def _digested_run(trace, scheduler, cluster, engine):
     recorder = DigestRecorder()
-    _simulate(trace, scheduler, cluster, engine=engine, sanitizer=recorder)
-    return recorder.hexdigest()
+    result = _simulate(trace, scheduler, cluster, engine=engine, sanitizer=recorder)
+    result.event_digest = recorder.hexdigest()
+    return result
 
 
+@pytest.mark.usefixtures("_both_engines")
 class TestEngineDifferential:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -244,11 +248,15 @@ class TestEngineDifferential:
         scheduler=st.sampled_from([FIFOScheduler, MaxEDFScheduler]),
     )
     def test_object_and_columnar_digests_agree(self, trace, cluster, scheduler):
-        """Both engines emit the same event stream, zero-length and
-        same-instant tasks included."""
-        assert _event_digest(trace, scheduler(), cluster, "object") == (
-            _event_digest(trace, scheduler(), cluster, "columnar")
-        )
+        """Both engines emit the same event stream and the same task
+        records in the same order, zero-length and same-instant tasks
+        included; metrics over those records are bit-identical."""
+        obj = _digested_run(trace, scheduler(), cluster, "object")
+        col = _digested_run(trace, scheduler(), cluster, "columnar")
+        assert obj.event_digest == col.event_digest
+        assert col.task_records == obj.task_records
+        assert list(col.task_records) == list(obj.task_records)
+        assert utilization(col, cluster) == utilization(obj, cluster)
 
 
 def _one_ulp_sites(trace):
@@ -277,6 +285,7 @@ def _nudged(trace, site):
     return trace[:j] + [job] + trace[j + 1:]
 
 
+@pytest.mark.usefixtures("_both_engines")
 class TestTraceIdentity:
     """One trace, one digest: every format reaches the same identity."""
 

@@ -192,9 +192,11 @@ class TestTraceJob:
     def test_nan_deadline_rejected(self, constant_profile):
         # NaN compares False with everything, so the ordering check
         # alone would let it through; the binary format and sqlite
-        # would then turn it into "no deadline".
-        with pytest.raises(ValueError, match="deadline"):
-            TraceJob(constant_profile, 10.0, deadline=float("nan"))
+        # would then turn it into "no deadline".  An infinite deadline
+        # would serialize as the non-standard JSON token ``Infinity``.
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="deadline must be a finite"):
+                TraceJob(constant_profile, 10.0, deadline=bad)
 
     def test_infinite_submit_rejected(self, constant_profile):
         with pytest.raises(ValueError, match="finite"):

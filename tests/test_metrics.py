@@ -15,7 +15,7 @@ from repro.core.metrics import (
 )
 from repro.schedulers import FIFOScheduler
 
-from conftest import make_constant_profile
+from conftest import make_constant_profile, make_random_profile
 
 
 @pytest.fixture
@@ -118,3 +118,46 @@ class TestConcurrencySeries:
             concurrency_series(result, "shuffle")
         with pytest.raises(ValueError):
             concurrency_series(result, "map", points=1)
+
+
+class TestColumnsMatchRecordLoop:
+    """The column reductions against the per-record loops they replaced.
+
+    numpy sums pairwise where the loops summed left to right, so the
+    two agree to a few ulps of the total, not bit for bit.
+    """
+
+    @pytest.fixture(params=["object", "columnar"])
+    def busy_run(self, request):
+        rng = np.random.default_rng(5)
+        trace = [
+            TraceJob(make_random_profile(rng, num_maps=40, num_reduces=12), 15.0 * i)
+            for i in range(12)
+        ]
+        cluster = ClusterConfig(8, 4)
+        return simulate(trace, FIFOScheduler(), cluster, engine=request.param), cluster
+
+    def test_slot_seconds_and_stage_breakdown(self, busy_run):
+        result, _ = busy_run
+        records = list(result.task_records)
+        for kind in (None, "map", "reduce"):
+            loop = sum(r.end - r.start for r in records if kind is None or r.kind == kind)
+            assert slot_seconds(result, kind) == pytest.approx(loop, rel=1e-12)
+        for job in result.jobs:
+            mine = [r for r in records if r.job_id == job.job_id]
+            reduces = [r for r in mine if r.kind == "reduce" and r.shuffle_end is not None]
+            assert stage_breakdown(result, job.job_id) == pytest.approx({
+                "map": sum(r.end - r.start for r in mine if r.kind == "map"),
+                "shuffle": sum(r.shuffle_end - r.start for r in reduces),
+                "reduce": sum(r.end - r.shuffle_end for r in reduces),
+            }, rel=1e-12)
+
+    def test_concurrency_series(self, busy_run):
+        result, _ = busy_run
+        records = list(result.task_records)
+        for kind in ("map", "reduce"):
+            times, running = concurrency_series(result, kind, points=64, job_id=3)
+            mine = [r for r in records if r.kind == kind and r.job_id == 3]
+            assert running.tolist() == [
+                sum(r.start <= t < r.end for r in mine) for t in times
+            ]

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.core import ClusterConfig, TraceJob
+from repro.core import ClusterConfig, TraceColumns, TraceJob
 from repro.core.engine import SimulatorEngine
 from repro.parallel import (
     ResultCache,
@@ -23,6 +23,7 @@ from repro.parallel import (
     SimTask,
     cache_key,
     default_cache_path,
+    last_fanout_stats,
     register_spec_kind,
     simulate_many,
 )
@@ -255,6 +256,35 @@ class TestSimulateMany:
         assert all(not o.cached for o in cold)
         assert all(o.cached for o in warm)
 
+    def test_trace_columns_built_once_per_batch(self, trace, monkeypatch):
+        """One columnar build per trace feeds both its digest and the
+        payload shipped to the pool."""
+        real = TraceColumns.from_trace.__func__
+        calls = []
+
+        def counting(cls, jobs):
+            calls.append(len(jobs))
+            return real(cls, jobs)
+
+        monkeypatch.setattr(TraceColumns, "from_trace", classmethod(counting))
+        outcomes = simulate_many({"t": trace}, grid_tasks(), workers=2, cache=None)
+        assert last_fanout_stats().workers == 2
+        assert calls == [len(trace)]
+        assert all(o.result.event_digest is not None for o in outcomes)
+
+    def test_pooled_records_match_serial(self, trace):
+        tasks = [
+            SimTask(trace_id="t", scheduler=SchedulerSpec(name=name),
+                    cluster=ClusterConfig(4, 4), record_tasks=True)
+            for name in ("fifo", "maxedf")
+        ]
+        serial = simulate_many({"t": trace}, tasks, workers=0, cache=None)
+        pooled = simulate_many({"t": trace}, tasks, workers=2, cache=None)
+        for a, b in zip(serial, pooled):
+            assert len(a.result.task_records) > 0
+            assert b.result.task_records == a.result.task_records
+            assert list(b.result.task_records) == list(a.result.task_records)
+
     def test_outcomes_in_task_order(self, trace):
         tasks = grid_tasks(n_schedulers=3)
         outcomes = simulate_many({"t": trace}, tasks, workers=2)
@@ -352,7 +382,7 @@ class TestResourceSafetyRegressions:
             return fd, path
 
         monkeypatch.setattr(_tempfile, "mkstemp", recording_mkstemp)
-        real_pack = binfmt.pack_trace
+        real_pack = binfmt.pack_columns
         calls = {"n": 0}
 
         def failing_pack(t):
@@ -361,9 +391,12 @@ class TestResourceSafetyRegressions:
                 raise OSError("disk full")
             return real_pack(t)
 
-        monkeypatch.setattr(binfmt, "pack_trace", failing_pack)
+        monkeypatch.setattr(binfmt, "pack_columns", failing_pack)
+        columns = TraceColumns.from_trace(trace)
         with pytest.raises(OSError, match="disk full"):
-            ex._PublishedTraces({"a": trace, "b": trace}, "tempfile", 2)
+            ex._PublishedTraces(
+                {"a": trace, "b": trace}, {"a": columns, "b": columns}, "tempfile", 2
+            )
         assert created, "first trace should have spilled to a tempfile"
         assert all(not os.path.exists(p) for p in created)
 
@@ -386,7 +419,7 @@ class TestResourceSafetyRegressions:
             return source
 
         monkeypatch.setattr(ex._PublishedTraces, "_publish_shm", recording_publish)
-        real_pack = binfmt.pack_trace
+        real_pack = binfmt.pack_columns
         calls = {"n": 0}
 
         def failing_pack(t):
@@ -395,10 +428,14 @@ class TestResourceSafetyRegressions:
                 raise OSError("boom")
             return real_pack(t)
 
-        monkeypatch.setattr(binfmt, "pack_trace", failing_pack)
+        monkeypatch.setattr(binfmt, "pack_columns", failing_pack)
+        columns = TraceColumns.from_trace(trace)
         try:
             with pytest.raises(OSError, match="boom"):
-                ex._PublishedTraces({"a": trace, "b": trace}, "shared_memory", 2)
+                ex._PublishedTraces(
+                    {"a": trace, "b": trace}, {"a": columns, "b": columns},
+                    "shared_memory", 2,
+                )
         except (ImportError, OSError) as exc:  # platform without shm
             pytest.skip(f"shared memory unavailable: {exc}")
         assert names, "first trace should have been published"

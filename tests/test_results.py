@@ -5,14 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import math
+import pickle
+
 from repro.core import (
     ClusterConfig,
     JobResult,
     NetworkShuffleModel,
+    SimulationResult,
     SimulatorEngine,
+    TaskRecord,
+    TaskRecords,
     TraceJob,
     simulate,
 )
+from repro.core.metrics import utilization
+from repro.core.results_io import result_from_dict, result_to_dict
 from repro.schedulers import FIFOScheduler, MinEDFScheduler
 
 from conftest import make_constant_profile
@@ -128,6 +136,79 @@ class TestFeatureCombinations:
         result = simulate(trace, FIFOScheduler(), ClusterConfig(4, 4))
         assert result.jobs[2].start_time >= result.jobs[0].completion_time
         assert all(j.completion_time is not None for j in result.jobs)
+
+
+class TestTaskRecords:
+    """The one columnar record type every engine path returns."""
+
+    @pytest.fixture(params=["object", "columnar"])
+    def result(self, request):
+        profile = make_constant_profile(num_maps=6, num_reduces=3)
+        trace = [TraceJob(profile, 0.0), TraceJob(profile, 2.0), TraceJob(profile, 2.0)]
+        return simulate(trace, FIFOScheduler(), ClusterConfig(4, 2), engine=request.param)
+
+    def test_one_type_on_every_path(self, result):
+        assert type(result.task_records) is TaskRecords
+        empty = simulate(
+            [TraceJob(make_constant_profile(), 0.0)], FIFOScheduler(),
+            ClusterConfig(4, 4), record_tasks=False,
+        )
+        assert type(empty.task_records) is TaskRecords
+
+    def test_equals_a_plain_list(self, result):
+        plain = [
+            TaskRecord(r.kind, r.job_id, r.index, r.start, r.end, r.shuffle_end,
+                       r.first_wave, r.killed)
+            for r in result.task_records
+        ]
+        assert result.task_records == plain
+        assert plain == result.task_records
+        assert result.task_records != plain[:-1]
+        assert result.task_records[:3] == plain[:3]
+        assert TaskRecords.from_records(plain) == result.task_records
+
+    def test_columns_are_read_only(self, result):
+        with pytest.raises(ValueError):
+            result.task_records.start[0] = 99.0
+        with pytest.raises(TypeError):
+            result.task_records[0] = result.task_records[1]
+
+    def test_materialized_records_are_a_snapshot(self, result):
+        records = result.task_records
+        before = utilization(result, ClusterConfig(4, 2))
+        first = records[0]
+        assert records[0] is first  # built once, then cached
+        first.end += 100.0
+        assert records.end[0] == first.end - 100.0
+        assert utilization(result, ClusterConfig(4, 2)) == before
+
+    def test_round_trips_without_a_cache(self, result):
+        records = result.task_records
+        list(records)  # materialize, so a leaked cache would show
+        for back in (
+            result_from_dict(result_to_dict(result)).task_records,
+            pickle.loads(pickle.dumps(records)),
+        ):
+            assert back._objects is None
+            assert back == records
+            assert back.start.flags.writeable is False
+        assert pickle.loads(pickle.dumps(result)).task_records._objects is None
+
+    def test_unfinished_and_unshuffled_encodings(self):
+        records = TaskRecords.from_records([
+            TaskRecord("map", 0, 0, 1.0),
+            TaskRecord("reduce", 0, 0, 1.0, 4.0, 3.0, True),
+        ])
+        assert math.isinf(records.end[0])
+        assert np.isnan(records.shuffle_end[0])
+        assert list(records) == [
+            TaskRecord("map", 0, 0, 1.0),
+            TaskRecord("reduce", 0, 0, 1.0, 4.0, 3.0, True),
+        ]
+        doc = result_to_dict(SimulationResult("x", [], records, 0.0, 0, 0.0))
+        assert doc["task_records"][0]["end"] is None
+        assert doc["task_records"][0]["shuffle_end"] is None
+        assert doc["task_records"][1]["shuffle_end"] == 3.0
 
 
 class TestProfileStability:

@@ -158,13 +158,14 @@ class TestProtocol:
         assert len(request.trace) == len(trace)
 
     def test_nan_deadline_is_400(self, trace):
-        doc = self.doc(trace)
-        doc["trace"]["jobs"][0]["deadline"] = math.nan
-        body = json.dumps(doc)
-        assert '"deadline": NaN' in body  # Python's json reads it back
-        with pytest.raises(ProtocolError, match="deadline") as excinfo:
-            parse_request(json.loads(body))
-        assert excinfo.value.status == 400
+        for bad, token in ((math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")):
+            doc = self.doc(trace)
+            doc["trace"]["jobs"][0]["deadline"] = bad
+            body = json.dumps(doc)
+            assert f'"deadline": {token}' in body  # Python's json reads it back
+            with pytest.raises(ProtocolError, match="deadline") as excinfo:
+                parse_request(json.loads(body))
+            assert excinfo.value.status == 400
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ProtocolError, match="no jobs"):
